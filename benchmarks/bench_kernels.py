@@ -2,15 +2,16 @@
 """Compare the compiled sweep kernel against the pure-Python twin.
 
 Runs the closed sweeps (full count, corner split, k=3 corner census)
-through both backends on desk-scale cases, checks that the results
-agree, and prints wall times plus the speedup.  Pass --full for the
-larger cases (the pure kernel takes tens of seconds there).
+and the row-mask stream through both backends on desk-scale cases,
+checks that the results agree, and prints wall times plus the speedup.
+Pass --full for the larger cases (the pure kernel takes tens of seconds
+there).
 """
 
 import argparse
 import time
 
-from lambdakit import _kernel_py
+from lambdakit import _kernel_py, kernel_backend
 
 try:
     from lambdakit import _speedups
@@ -23,6 +24,7 @@ DEFAULT_CASES = [
     ("count_all", (6, 3)),
     ("count_split", (6, 3)),
     ("corner_census3", (6,)),
+    ("iter_row_masks", (6, 3)),
 ]
 
 FULL_CASES = [
@@ -35,6 +37,8 @@ FULL_CASES = [
 def timed(kernel, op, args):
     start = time.perf_counter()
     result = getattr(kernel, op)(*args)
+    if op == "iter_row_masks":
+        result = list(result)  # the iterator does its work as it is consumed
     return result, time.perf_counter() - start
 
 
@@ -45,7 +49,8 @@ def main():
     opts = parser.parse_args()
 
     cases = DEFAULT_CASES + (FULL_CASES if opts.full else [])
-    header = f"{'case':<28}{'python':>12}{'cython':>12}{'speedup':>10}"
+    compiled = kernel_backend() if _speedups is not None else "compiled"
+    header = f"{'case':<28}{'python':>12}{compiled:>12}{'speedup':>10}"
     print(header)
     print("-" * len(header))
     for op, args in cases:

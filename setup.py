@@ -1,11 +1,10 @@
 """Build script for the optional compiled sweep kernel.
 
 The package is fully functional without it: ``lambdakit`` falls back to
-the pure-Python kernel whenever the extension is missing.  Set
-``LAMBDAKIT_PURE=1`` to skip building the extension on purpose.
+the pure-Python kernel whenever the extension is missing.  Building the
+extension needs only a C compiler; when compiling fails the build warns
+and carries on without it.
 """
-
-import os
 
 from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
@@ -34,18 +33,7 @@ def _warn(exc):
     )
 
 
-def extensions():
-    if os.environ.get("LAMBDAKIT_PURE") == "1":
-        return []
-    try:
-        from Cython.Build import cythonize
-    except ImportError:
-        _warn("Cython not available")
-        return []
-    return cythonize(
-        [Extension("lambdakit._speedups", ["src/lambdakit/_speedups.pyx"])],
-        compiler_directives={"language_level": "3"},
-    )
-
-
-setup(ext_modules=extensions(), cmdclass={"build_ext": OptionalBuildExt})
+setup(
+    ext_modules=[Extension("lambdakit._speedups", ["src/lambdakit/_speedups.c"])],
+    cmdclass={"build_ext": OptionalBuildExt},
+)

@@ -28,6 +28,7 @@ from .enumerator import (
     kernel_backend,
 )
 from .errors import (
+    ExactnessError,
     InconsistentInputError,
     InvalidParameterError,
     LambdaKitError,
@@ -75,6 +76,7 @@ __all__ = [
     "NotLambdaError",
     "NotInPlusSetError",
     "InconsistentInputError",
+    "ExactnessError",
     "parse_matrix",
     "serialize_matrix",
     "is_lambda",

@@ -1,7 +1,8 @@
 """Pure-Python sweep kernel: row-by-row backtracking over column capacities.
 
 Drop-in twin of the compiled kernel in ``_speedups``; the enumerator
-picks whichever imports.  The search state is the vector of remaining
+picks whichever imports.  Both raise ValueError outside 1 <= n <= 64
+and for a negative k.  The search state is the vector of remaining
 column capacities.  A column whose capacity equals the number of
 unfilled rows must take a 1 in every remaining row and is forced; the
 last row is therefore fully forced, so each node one row above the
@@ -22,12 +23,14 @@ BACKEND = "python"
 _MODE_COUNT = 0
 _MODE_SPLIT = 1
 _MODE_CENSUS = 2
+_MAXN = 64
 
 __all__ = ["BACKEND", "count_all", "count_split", "corner_census3", "iter_row_masks"]
 
 
 def count_all(n: int, k: int) -> int:
     """Number of n x n 0-1 matrices with exactly k ones per row and column."""
+    _check(n, k)
     if k == 0:
         return 1
     if k > n:
@@ -39,6 +42,7 @@ def count_all(n: int, k: int) -> int:
 
 def count_split(n: int, k: int) -> tuple[int, int]:
     """(plus, minus): the count split by bottom-right entry 1 / 0."""
+    _check(n, k)
     if k == 0:
         return (0, 1)
     if k > n:
@@ -54,24 +58,33 @@ def corner_census3(n: int) -> list[int]:
 
     Index = top-left<<3 | top-right<<2 | bottom-left<<1 | bottom-right.
     """
+    _check(n, 3)
     acc = [0] * 16
+    if n < 3:  # k > n: no matrices
+        return acc
     _sweep(0, n, 3, [3] * n, True, _MODE_CENSUS, acc, [0] * n)
     return acc
 
 
 def iter_row_masks(n: int, k: int, corner_only: bool = False) -> Iterator[tuple[int, ...]]:
-    """Yield each matrix as a tuple of row masks, in enumeration order.
+    """Iterate over each matrix as a tuple of row masks, in enumeration order.
 
     With ``corner_only`` only matrices whose bottom-right entry is 1 are
     produced.
     """
+    _check(n, k)
     if k == 0:
-        if not corner_only:
-            yield (0,) * n
-        return
+        return iter([] if corner_only else [(0,) * n])
     if k > n:
-        return
-    yield from _iter(0, n, k, [k] * n, [0] * n, corner_only)
+        return iter([])
+    return _iter(0, n, k, [k] * n, [0] * n, corner_only)
+
+
+def _check(n, k):
+    if not 1 <= n <= _MAXN:
+        raise ValueError(f"sweep kernel supports 1 <= n <= {_MAXN}, got {n}")
+    if k < 0:
+        raise ValueError(f"k must be nonnegative, got {k}")
 
 
 def _sweep(row, n, k, caps, corner_only, mode, acc, row_masks):

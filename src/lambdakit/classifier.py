@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .enumerator import corner_pattern_counts, count_split
-from .errors import InvalidParameterError
+from .errors import ExactnessError, InvalidParameterError, is_int
 from .matrix import BinaryMatrix, corner_submatrix
 from .profile_dp import dp_count
 
@@ -133,7 +133,7 @@ def class_counts(n: int) -> ClassCounts:
     Runs the kernel sweep once and folds the sixteen pattern tallies
     into the seven class counts.
     """
-    if not isinstance(n, int) or n < 3:
+    if not is_int(n) or n < 3:
         raise InvalidParameterError("the census needs n >= 3")
     tallies = dict.fromkeys(_FIELD_BY_LABEL.values(), 0)
     for pattern, count in enumerate(corner_pattern_counts(n)):
@@ -157,18 +157,24 @@ class CensusIdentityReport:
     holds: bool
 
 
-def census_identity_check(n: int) -> CensusIdentityReport:
+def census_identity_check(n: int, counts: ClassCounts | None = None) -> CensusIdentityReport:
     """Evaluate the census identity at size n (needs n >= 4).
 
     The left side is the enumerated corner-one count; the right side
     combines the profile-DP count at n-1 with the census, so the check
-    crosses three independent computations.
+    crosses three independent computations.  ``counts`` is the census
+    at size n when the caller already has it from :func:`class_counts`;
+    otherwise it is computed here.
     """
-    if not isinstance(n, int) or n < 4:
+    if not is_int(n) or n < 4:
         raise InvalidParameterError("the census identity needs n >= 4")
-    counts = class_counts(n)
+    if counts is None:
+        counts = class_counts(n)
+    elif not isinstance(counts, ClassCounts):
+        raise InvalidParameterError("counts must be a ClassCounts census")
     lhs = count_split(n, 3).plus
     coeff, rest = divmod(3 * (n - 1) * (3 * n - 8), 2)
-    assert rest == 0, "3(n-1)(3n-8) is always even"
+    if rest:
+        raise ExactnessError("3(n-1)(3n-8) must be even")
     rhs = coeff * dp_count(n - 1, 3) + counts.alpha + counts.beta + 2 * counts.gamma - counts.eta
     return CensusIdentityReport(n=n, lhs=lhs, rhs=rhs, counts=counts, holds=lhs == rhs)

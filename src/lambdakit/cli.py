@@ -7,10 +7,6 @@ produce identical bytes.
 
 Exit codes: 0 success, 1 a verification check failed, 2 invalid
 arguments, 3 method/parameter mismatch, 4 enumeration cap exceeded.
-
-The environment variable LAMBDAKIT_THREADS (a positive integer) caps
-internal parallelism; the current sweeps are sequential, so any cap is
-honored as-is.
 """
 
 from __future__ import annotations
@@ -109,15 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    threads = os.environ.get("LAMBDAKIT_THREADS")
-    if threads is not None:
-        try:
-            if int(threads) < 1:
-                raise ValueError
-        except ValueError:
-            print("LAMBDAKIT_THREADS must be a positive integer", file=sys.stderr)
-            return EXIT_USAGE
-
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
@@ -247,7 +234,7 @@ def _cmd_classify(args, out) -> int:
     else:
         print(_jdump(census), file=out)
     if args.theorem4:
-        report = census_identity_check(n)
+        report = census_identity_check(n, counts)
         if args.format == "csv":
             print("lhs,rhs,holds", file=out)
             print(f"{report.lhs},{report.rhs},{str(report.holds).lower()}", file=out)

@@ -2,8 +2,8 @@
 
 The closed sweeps (totals, corner splits, the k = 3 corner census) run
 in the active kernel: the compiled extension when it was built,
-otherwise the pure-Python twin.  Streaming enumeration is generator
-based and identical under both backends.
+otherwise the pure-Python twin.  Streaming enumeration takes its row
+masks from the active kernel too; both backends yield the same order.
 
 Enumeration order is deterministic: matrices appear in lexicographic
 order of their rows' column subsets, the first row varying slowest.
@@ -19,7 +19,7 @@ from math import factorial
 from typing import Callable, Iterator, NamedTuple
 
 from . import _kernel_py as _pure
-from .errors import InvalidParameterError, NotLambdaError
+from .errors import InvalidParameterError, NotLambdaError, is_int
 from .matrix import BinaryMatrix, is_lambda
 
 try:
@@ -48,7 +48,7 @@ __all__ = [
 
 
 def kernel_backend() -> str:
-    """``"cython"`` when the compiled kernel is active, else ``"python"``."""
+    """``"c"`` when the compiled kernel is active, else ``"python"``."""
     return _kernel.BACKEND
 
 
@@ -64,11 +64,11 @@ class SplitCount(NamedTuple):
 
 
 def _check_sweep_args(n: int, k: int) -> None:
-    if not isinstance(n, int) or n < 1:
+    if not is_int(n) or n < 1:
         raise InvalidParameterError("n must be a positive integer")
     if n > MAX_SWEEP_N:
         raise InvalidParameterError(f"enumeration supports n <= {MAX_SWEEP_N}")
-    if not isinstance(k, int) or k < 0:
+    if not is_int(k) or k < 0:
         raise InvalidParameterError("k must be a nonnegative integer")
 
 
@@ -93,7 +93,7 @@ def iter_lambda(n: int, k: int, corner_only: bool = False) -> Iterator[BinaryMat
     """Yield the matrices in enumeration order; ``corner_only`` keeps
     those with bottom-right entry 1."""
     _check_sweep_args(n, k)
-    for masks in _pure.iter_row_masks(n, k, corner_only):
+    for masks in _kernel.iter_row_masks(n, k, corner_only):
         yield BinaryMatrix(n, masks)
 
 
@@ -112,7 +112,7 @@ def corner_pattern_counts(n: int) -> list[int]:
     """Sixteen-entry tally of 2x2 corner-submatrix patterns over the
     k = 3 corner-one matrices of size n, indexed
     top-left<<3 | top-right<<2 | bottom-left<<1 | bottom-right."""
-    if not isinstance(n, int) or n < 3:
+    if not is_int(n) or n < 3:
         raise InvalidParameterError("the corner census needs n >= 3")
     if n > MAX_SWEEP_N:
         raise InvalidParameterError(f"enumeration supports n <= {MAX_SWEEP_N}")
@@ -139,7 +139,7 @@ class InsertionClassStats:
 
 
 def _insertion_groups(matrix: BinaryMatrix, k: int):
-    if not isinstance(k, int) or k < 1:
+    if not is_int(k) or k < 1:
         raise InvalidParameterError("insertion classes need k >= 1")
     if not is_lambda(matrix, k):
         raise NotLambdaError(

@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types, and the integer-argument test, shared across the package."""
 
 
 class LambdaKitError(Exception):
@@ -23,3 +23,14 @@ class NotInPlusSetError(LambdaKitError, ValueError):
 
 class InconsistentInputError(LambdaKitError, ValueError):
     """A claimed count fails an exact divisibility relation it must satisfy."""
+
+
+class ExactnessError(LambdaKitError, ArithmeticError):
+    """An exact computation produced a value its derivation rules out: a
+    non-integral or negative count, or a division that left a remainder.
+    It signals a transcription error or corrupted state, never bad input."""
+
+
+def is_int(value) -> bool:
+    """True for an ``int`` that is not a ``bool`` (``bool`` subclasses ``int``)."""
+    return isinstance(value, int) and not isinstance(value, bool)

@@ -2,8 +2,9 @@
 
 Everything here returns exact Python ints.  Intermediate rationals use
 ``fractions.Fraction`` and every division that must come out exact is
-checked, so a formula transcription error surfaces as a hard failure
-instead of a silently wrong count.
+checked, so a formula transcription error surfaces as an
+:class:`ExactnessError` (also under ``python -O``) instead of a silently
+wrong count.
 
 The four ``lambda2_*`` entry points compute the k = 2 count through
 independent routes (a partition sum and three different recursions);
@@ -16,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .errors import InconsistentInputError, InvalidParameterError
+from .errors import ExactnessError, InconsistentInputError, InvalidParameterError, is_int
 
 __all__ = [
     "lambda2_partition_sum",
@@ -31,7 +32,7 @@ __all__ = [
 
 
 def _check_positive(n: int) -> None:
-    if not isinstance(n, int) or n < 1:
+    if not is_int(n) or n < 1:
         raise InvalidParameterError("n must be a positive integer")
 
 
@@ -63,7 +64,8 @@ def lambda2_partition_sum(n: int) -> int:
         for part, mult in partition:
             denom *= factorial(mult) * (2 * part) ** mult
         total += Fraction(nfact2, denom)
-    assert total.denominator == 1, "partition sum must be an integer"
+    if total.denominator != 1:
+        raise ExactnessError("partition sum must be an integer")
     return int(total)
 
 
@@ -83,7 +85,8 @@ def lambda2_anand(n: int) -> int:
         m = len(_ANAND)
         num = m * (m - 1) ** 2 * ((2 * m - 3) * _ANAND[m - 2] + (m - 2) ** 2 * _ANAND[m - 3])
         half, rest = divmod(num, 2)
-        assert rest == 0, "three-term recursion must divide evenly by 2"
+        if rest:
+            raise ExactnessError("three-term recursion must divide evenly by 2")
         _ANAND.append(half)
     return _ANAND[n]
 
@@ -103,7 +106,8 @@ def lambda2_good(n: int) -> int:
         m = len(_GOOD)
         num = (m - 1) ** 2 * m * _GOOD[m - 2]
         half, rest = divmod(num, 2)
-        assert rest == 0, "two-term recursion must divide evenly by 2"
+        if rest:
+            raise ExactnessError("two-term recursion must divide evenly by 2")
         _GOOD.append((m - 1) * m * _GOOD[m - 1] + half)
     return _GOOD[n]
 
@@ -127,22 +131,26 @@ def lambda2_system(n: int) -> tuple[int, int]:
     while len(_SYS_LAM) <= n:
         m = len(_SYS_LAM)
         if m >= 5:
-            assert len(_SYS_AUX) == m
+            if len(_SYS_AUX) != m:
+                raise ExactnessError("auxiliary sequence out of step with the count")
             coeff, rest = divmod((m - 1) ** 2 * (m - 2) ** 2, 4)
-            assert rest == 0, "auxiliary coefficient must divide evenly by 4"
+            if rest:
+                raise ExactnessError("auxiliary coefficient must divide evenly by 4")
             aux = coeff * (
                 8 * (m - 3) * (m - 4) * _SYS_LAM[m - 3]
                 + (m - 3) ** 2 * _SYS_LAM[m - 4]
                 - 4 * _SYS_AUX[m - 2]
             )
-            assert aux >= 0
+            if aux < 0:
+                raise ExactnessError(f"auxiliary term aux({m}) came out negative")
             _SYS_AUX.append(aux)
         lam = (
             (m - 1) * (2 * m - 3) * _SYS_LAM[m - 1]
             + (m - 1) ** 2 * _SYS_LAM[m - 2]
             - _SYS_AUX[m]
         )
-        assert lam >= 0
+        if lam < 0:
+            raise ExactnessError(f"coupled recursion gave a negative count at n = {m}")
         _SYS_LAM.append(lam)
     return _SYS_LAM[n], _SYS_AUX[n]
 
@@ -150,7 +158,7 @@ def lambda2_system(n: int) -> tuple[int, int]:
 def lambda2_plus(n: int) -> int:
     """Corner-one k = 2 count: plus(n) = 2(n-1) lam(n-1) + (n-1)^2 lam(n-2)
     for n >= 3, with the lam subterms from :func:`lambda2_good`."""
-    if not isinstance(n, int) or n < 3:
+    if not is_int(n) or n < 3:
         raise InvalidParameterError("the corner-one formula needs n >= 3")
     return 2 * (n - 1) * lambda2_good(n - 1) + (n - 1) ** 2 * lambda2_good(n - 2)
 
@@ -161,7 +169,7 @@ def lambda_plus_from_total(n: int, k: int, lam: int) -> int:
     Raises :class:`InconsistentInputError` when k * lam is not divisible
     by n, since a true total always splits evenly.
     """
-    if not isinstance(n, int) or not isinstance(k, int) or not 1 <= k <= n:
+    if not is_int(n) or not is_int(k) or not 1 <= k <= n:
         raise InvalidParameterError("need 1 <= k <= n")
     scaled = k * lam
     plus, rest = divmod(scaled, n)
@@ -174,7 +182,7 @@ def lambda_plus_from_total(n: int, k: int, lam: int) -> int:
 
 def lambda_minus_from_plus(n: int, k: int, lam_plus: int) -> int:
     """Corner-zero count from the corner-one count: (n-k) * plus / k, exactly."""
-    if not isinstance(n, int) or not isinstance(k, int) or not 1 <= k <= n:
+    if not is_int(n) or not is_int(k) or not 1 <= k <= n:
         raise InvalidParameterError("need 1 <= k <= n")
     scaled = (n - k) * lam_plus
     minus, rest = divmod(scaled, k)
@@ -206,7 +214,6 @@ def lambda3_explicit(n: int) -> int:
             )
             total += -term if b & 1 else term
     value = Fraction(factorial(n) ** 2, 6**n) * total
-    assert value.denominator == 1 and value >= 0, (
-        "explicit k=3 sum must be a nonnegative integer"
-    )
+    if value.denominator != 1 or value < 0:
+        raise ExactnessError("explicit k=3 sum must be a nonnegative integer")
     return int(value)

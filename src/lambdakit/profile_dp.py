@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from math import comb
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, is_int
 
 __all__ = ["dp_count", "dp_table"]
 
@@ -30,9 +30,9 @@ def dp_count(n: int, k: int) -> int:
 
     n = 0 counts the empty matrix as 1; k > n gives 0 (empty set).
     """
-    if not isinstance(n, int) or n < 0:
+    if not is_int(n) or n < 0:
         raise InvalidParameterError("n must be a nonnegative integer")
-    if not isinstance(k, int) or k < 0:
+    if not is_int(k) or k < 0:
         raise InvalidParameterError("k must be a nonnegative integer")
     if k == 0:
         return 1
@@ -50,9 +50,9 @@ def dp_table(k: int, n_max: int) -> list[tuple[int, int]]:
 
     For k = 0 the table starts at n = 0 (the empty matrix row).
     """
-    if not isinstance(k, int) or k < 0:
+    if not is_int(k) or k < 0:
         raise InvalidParameterError("k must be a nonnegative integer")
-    if not isinstance(n_max, int) or n_max < k:
+    if not is_int(n_max) or n_max < k:
         raise InvalidParameterError("n_max must be an integer >= k")
     return [(n, dp_count(n, k)) for n in range(k, n_max + 1)]
 

@@ -6,8 +6,11 @@ kernels: they filter raw bit patterns, so they can catch kernel bugs.
 
 from __future__ import annotations
 
+import os
 from itertools import combinations, product
+from pathlib import Path
 
+import lambdakit
 from lambdakit import BinaryMatrix
 
 # Counts for k = 2 (three-term/two-term recursions, confirmed by brute
@@ -74,3 +77,11 @@ def reinsertion_key(matrix: BinaryMatrix):
     kept = tuple(c for c in cols if not c & last_bit)
     deleted = tuple(sorted(c for c in cols if c & last_bit))
     return kept, deleted
+
+
+def child_env() -> dict[str, str]:
+    """Environment for a child interpreter that imports the lambdakit
+    under test (the first entry of its PYTHONPATH)."""
+    src = str(Path(lambdakit.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}

@@ -1,9 +1,11 @@
 import json
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
+from lambdakit import enumerator
 from lambdakit.cli import main
 
 
@@ -125,6 +127,24 @@ class TestClassify:
         code, _, _ = run(capsys, "classify", "--n", "2")
         assert code == 2
 
+    def test_theorem4_sweeps_once_per_route(self, capsys, monkeypatch):
+        # the census feeds both output lines; the identity's left side
+        # comes from its own corner-split sweep
+        calls = Counter()
+        kernel = enumerator._kernel
+
+        class CountingKernel:
+            def __getattr__(self, name):
+                def counted(*args):
+                    calls[name, args] += 1
+                    return getattr(kernel, name)(*args)
+                return counted
+
+        monkeypatch.setattr(enumerator, "_kernel", CountingKernel())
+        code, _, _ = run(capsys, "classify", "--n", "5", "--theorem4")
+        assert code == 0
+        assert calls == {("corner_census3", (5,)): 1, ("count_split", (5, 3)): 1}
+
 
 class TestTable:
     def test_csv(self, capsys):
@@ -176,13 +196,3 @@ class TestPlumbing:
         _, first, _ = run(capsys, "classify", "--n", "4", "--theorem4")
         _, second, _ = run(capsys, "classify", "--n", "4", "--theorem4")
         assert first == second
-
-    def test_threads_env_validation(self, capsys, monkeypatch):
-        monkeypatch.setenv("LAMBDAKIT_THREADS", "zero")
-        code, _, err = run(capsys, "count", "--n", "2", "--k", "1")
-        assert code == 2 and "LAMBDAKIT_THREADS" in err
-
-    def test_threads_env_accepted(self, capsys, monkeypatch):
-        monkeypatch.setenv("LAMBDAKIT_THREADS", "4")
-        code, out, _ = run(capsys, "count", "--n", "2", "--k", "1")
-        assert code == 0 and out == "2\n"

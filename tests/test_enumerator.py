@@ -8,8 +8,11 @@ from lambdakit import (
     NotLambdaError,
     SplitCount,
     complement,
+    corner_pattern_counts,
     count_lambda,
     count_split,
+    dp_count,
+    dp_table,
     enumerate_lambda,
     insertion_class_members,
     insertion_class_stats,
@@ -48,6 +51,24 @@ class TestCounts:
             count_lambda(3, -1)
         with pytest.raises(InvalidParameterError):
             count_lambda(100, 2)  # beyond the sweep cap
+
+
+@pytest.mark.parametrize("call", [
+    lambda: count_lambda(True, 1),
+    lambda: count_lambda(3, True),
+    lambda: count_split(True, 0),
+    lambda: count_split(4, False),
+    lambda: next(iter_lambda(True, True)),
+    lambda: corner_pattern_counts(True),
+    lambda: dp_count(True, True),
+    lambda: dp_count(4, False),
+    lambda: dp_table(True, 4),
+    lambda: dp_table(2, True),
+], ids=["count_n", "count_k", "split_n", "split_k", "iter", "census", "dp_nk", "dp_k",
+        "table_k", "table_n_max"])
+def test_bool_is_not_an_integer_argument(call):
+    with pytest.raises(InvalidParameterError):
+        call()
 
 
 class TestSplit:

@@ -1,6 +1,9 @@
+import subprocess
+import sys
+
 import pytest
 
-from conftest import AUX, LAMBDA2, LAMBDA3
+from conftest import AUX, LAMBDA2, LAMBDA3, child_env
 from lambdakit import (
     InconsistentInputError,
     InvalidParameterError,
@@ -127,3 +130,20 @@ class TestExplicitK3:
     def test_matches_dp(self):
         for n in range(3, 16):
             assert lambda3_explicit(n) == dp_count(n, 3)
+
+
+def test_exactness_checks_survive_optimize_flag():
+    # a corrupted base value aux(4) drives the coupled recursion
+    # negative; python -O strips asserts, so the check must be a raise
+    code = (
+        "import lambdakit.formulas as f\n"
+        "f._SYS_AUX[4] = 10 ** 6\n"
+        "try:\n"
+        "    f.lambda2_system(5)\n"
+        "except f.ExactnessError as exc:\n"
+        "    print('raised:', exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True,
+                          env=child_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("raised: ")
