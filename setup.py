@@ -11,26 +11,20 @@ from setuptools.command.build_ext import build_ext
 
 
 class OptionalBuildExt(build_ext):
-    """Build the speedup extension if possible, warn and continue if not."""
+    """Build the speedup extension if possible, warn once and continue if not.
+
+    The one catch point is ``run``: a failed compile also skips the
+    ``--inplace`` copy of the extension that was never built.
+    """
 
     def run(self):
         try:
             super().run()
         except Exception as exc:  # missing compiler, broken toolchain, ...
-            _warn(exc)
-
-    def build_extension(self, ext):
-        try:
-            super().build_extension(ext)
-        except Exception as exc:
-            _warn(exc)
-
-
-def _warn(exc):
-    print(
-        f"WARNING: compiled kernel not built ({exc}); "
-        "lambdakit will use the pure-Python kernel"
-    )
+            print(
+                f"WARNING: compiled kernel not built ({exc}); "
+                "lambdakit will use the pure-Python kernel"
+            )
 
 
 setup(

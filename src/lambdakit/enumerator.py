@@ -90,11 +90,11 @@ def count_split(n: int, k: int) -> SplitCount:
 
 
 def iter_lambda(n: int, k: int, corner_only: bool = False) -> Iterator[BinaryMatrix]:
-    """Yield the matrices in enumeration order; ``corner_only`` keeps
-    those with bottom-right entry 1."""
+    """Iterate over the matrices in enumeration order; ``corner_only``
+    keeps those with bottom-right entry 1.  Bad arguments raise at the
+    call, before any ``next()``."""
     _check_sweep_args(n, k)
-    for masks in _kernel.iter_row_masks(n, k, corner_only):
-        yield BinaryMatrix(n, masks)
+    return (BinaryMatrix(n, masks) for masks in _kernel.iter_row_masks(n, k, corner_only))
 
 
 def enumerate_lambda(n: int, k: int, visitor: Callable[[BinaryMatrix], object]) -> int:

@@ -12,14 +12,15 @@ instances can be shared freely between threads.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .errors import (
     InvalidParameterError,
     MatrixParseError,
     NotInPlusSetError,
     NotLambdaError,
+    is_int,
 )
 
 __all__ = [
@@ -35,20 +36,26 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=4096)  # bounded, and safe to call from several threads
+def _row_string(n: int, mask: int) -> str:
+    """Row ``mask`` as n bit characters, leftmost = column 1; every format uses it."""
+    return format(mask, "0%db" % n)[::-1]
+
+
 class BinaryMatrix:
     """Immutable n x n 0-1 matrix."""
 
     __slots__ = ("n", "row_masks")
 
     def __init__(self, n: int, row_masks) -> None:
-        if not isinstance(n, int) or n < 1:
+        if not is_int(n) or n < 1:
             raise InvalidParameterError("matrix dimension must be a positive integer")
         masks = tuple(row_masks)
         if len(masks) != n:
             raise InvalidParameterError(f"expected {n} rows, got {len(masks)}")
         limit = 1 << n
-        for i, mask in enumerate(masks, start=1):
-            if not isinstance(mask, int) or not 0 <= mask < limit:
+        for i, mask in enumerate(masks, start=1):  # is_int(), with a fast path for int
+            if not (mask.__class__ is int or is_int(mask)) or not 0 <= mask < limit:
                 raise InvalidParameterError(f"row {i} does not fit in {n} columns")
         self.n = n
         self.row_masks = masks
@@ -72,10 +79,7 @@ class BinaryMatrix:
     def to_strings(self) -> tuple[str, ...]:
         """Rows as bit strings, leftmost character = column 1."""
         n = self.n
-        return tuple(
-            "".join("1" if (mask >> j) & 1 else "0" for j in range(n))
-            for mask in self.row_masks
-        )
+        return tuple([_row_string(n, mask) for mask in self.row_masks])
 
     def __eq__(self, other) -> bool:
         return (
@@ -127,23 +131,20 @@ def serialize_matrix(matrix: BinaryMatrix, fmt: str = "plain") -> str:
 
     ``plain`` is newline-joined bit strings (the inverse of
     :func:`parse_matrix`); ``jsonl-record`` is a single-line JSON object
-    with fields ``n`` and ``rows``.
+    with fields ``n`` and ``rows``, as compact sorted-key ``json.dumps``
+    prints it (rows hold only 0 and 1 and n is an int: nothing to escape).
     """
     if fmt == "plain":
         return "\n".join(matrix.to_strings())
     if fmt == "jsonl-record":
-        return json.dumps(
-            {"n": matrix.n, "rows": list(matrix.to_strings())},
-            sort_keys=True,
-            separators=(",", ":"),
-        )
+        return '{"n":%d,"rows":["%s"]}' % (matrix.n, '","'.join(matrix.to_strings()))
     raise InvalidParameterError(f"unknown matrix format {fmt!r}")
 
 
 def is_lambda(matrix: BinaryMatrix, k: int) -> bool:
     """True iff every row sum and every column sum equals k."""
     n = matrix.n
-    if not isinstance(k, int) or k < 0 or k > n:
+    if not is_int(k) or k < 0 or k > n:
         raise InvalidParameterError(f"k must satisfy 0 <= k <= n, got k={k} for n={n}")
     if any(mask.bit_count() != k for mask in matrix.row_masks):
         return False
@@ -212,10 +213,6 @@ def to_bipartite_edges(matrix: BinaryMatrix) -> list[tuple[int, int]]:
 
     A k-regular matrix gives every vertex of both parts degree k.
     """
-    n = matrix.n
-    return [
-        (i, j)
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-        if (matrix.row_masks[i - 1] >> (j - 1)) & 1
-    ]
+    columns = range(1, matrix.n + 1)
+    return [(i, j) for i, mask in enumerate(matrix.row_masks, start=1)
+            for j in columns if (mask >> (j - 1)) & 1]

@@ -51,6 +51,8 @@ class TestCounts:
             count_lambda(3, -1)
         with pytest.raises(InvalidParameterError):
             count_lambda(100, 2)  # beyond the sweep cap
+        with pytest.raises(InvalidParameterError):
+            iter_lambda(0, 1)  # checked at the call, before any next()
 
 
 @pytest.mark.parametrize("call", [
@@ -58,7 +60,7 @@ class TestCounts:
     lambda: count_lambda(3, True),
     lambda: count_split(True, 0),
     lambda: count_split(4, False),
-    lambda: next(iter_lambda(True, True)),
+    lambda: iter_lambda(True, True),
     lambda: corner_pattern_counts(True),
     lambda: dp_count(True, True),
     lambda: dp_count(4, False),

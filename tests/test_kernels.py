@@ -1,8 +1,11 @@
 """Parity checks between the pure-Python kernel and the compiled one."""
 
+import os
+import shutil
 import signal
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -92,3 +95,20 @@ def test_compiled_sweep_stops_on_interrupt():
         proc.kill()
         proc.wait()
     assert "KeyboardInterrupt" in err
+
+
+def test_failed_compile_warns_once(tmp_path):
+    # CC=false makes every compile fail; the build must still exit 0,
+    # with exactly one warning and no extension
+    root = Path(__file__).resolve().parents[1]
+    for name in ("setup.py", "pyproject.toml"):
+        shutil.copy(root / name, tmp_path)
+    shutil.copytree(root / "src", tmp_path / "src",
+                    ignore=shutil.ignore_patterns("*.so", "__pycache__"))
+    proc = subprocess.run([sys.executable, "setup.py", "build_ext", "--inplace"],
+                          cwd=tmp_path, env={**os.environ, "CC": "false"},
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    warnings = [line for line in (proc.stdout + proc.stderr).splitlines() if "WARNING" in line]
+    assert len(warnings) == 1 and "compiled kernel not built" in warnings[0]
+    assert not list((tmp_path / "src").rglob("*.so"))

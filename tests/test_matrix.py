@@ -1,4 +1,7 @@
 import json
+import random
+import sys
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
@@ -17,6 +20,7 @@ from lambdakit import (
     to_bipartite_edges,
     transpose,
 )
+from lambdakit.matrix import _row_string
 
 CIRCULANT3 = "110\n101\n011"
 
@@ -80,6 +84,60 @@ class TestSerialize:
     @given(matrices())
     def test_round_trip(self, m):
         assert parse_matrix(serialize_matrix(m)) == m
+
+
+def bit_strings(m):
+    """Test-side oracle: each row rendered bit by bit, column 1 first."""
+    return ["".join("1" if (mask >> j) & 1 else "0" for j in range(m.n)) for mask in m.row_masks]
+
+
+def json_record(m):
+    """Test-side oracle for the jsonl-record format."""
+    return json.dumps({"n": m.n, "rows": bit_strings(m)}, sort_keys=True, separators=(",", ":"))
+
+
+class TestCodecOracle:
+    @given(matrices(max_n=64))
+    def test_to_strings(self, m):
+        assert m.to_strings() == tuple(bit_strings(m))
+        assert str(m) == serialize_matrix(m) == "\n".join(bit_strings(m))
+
+    @given(matrices(max_n=64))
+    def test_jsonl_record_is_compact_sorted_json(self, m):
+        assert serialize_matrix(m, "jsonl-record") == json_record(m)
+
+    def test_threads_share_the_row_cache(self):
+        # 4 x (1 + ... + 64) = 8320 rows, far more distinct masks than the
+        # 4096 cache entries, so the threads keep evicting each other's rows
+        rng = random.Random(20121)
+        shared = [BinaryMatrix(n, [rng.getrandbits(n) for _ in range(n)])
+                  for _ in range(4) for n in range(1, 65)]
+        expected = [(json_record(m), "\n".join(bit_strings(m))) for m in shared]
+        wrong = []
+
+        def worker(offset):
+            order = list(range(offset, len(shared))) + list(range(offset))
+            for _ in range(3):
+                for i in order:
+                    m = shared[i]
+                    if (serialize_matrix(m, "jsonl-record"), serialize_matrix(m)) != expected[i]:
+                        wrong.append(i)
+
+        _row_string.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(t * 61,)) for t in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        info = _row_string.cache_info()
+        assert info.currsize == info.maxsize == 4096 and info.misses > 4096
 
 
 class TestIsLambda:
@@ -197,6 +255,24 @@ def test_matrix_equality_and_hash():
     assert len({a, b}) == 1
     asymmetric = parse_matrix("110\n011\n101")
     assert asymmetric != transpose(asymmetric)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: BinaryMatrix(True, [1]),
+    lambda: BinaryMatrix(2, [True, 2]),
+    lambda: BinaryMatrix(2, [1, False]),
+    lambda: is_lambda(parse_matrix("10\n01"), True),
+], ids=["n", "first_row", "second_row", "is_lambda_k"])
+def test_bool_is_not_an_integer_argument(call):
+    with pytest.raises(InvalidParameterError):
+        call()
+
+
+def test_bad_row_is_named():
+    with pytest.raises(InvalidParameterError, match="row 2 does not fit"):
+        BinaryMatrix(2, [1, True])
+    with pytest.raises(InvalidParameterError, match="row 3 does not fit"):
+        BinaryMatrix(3, [1, 2, 8])
 
 
 def test_bad_construction():
