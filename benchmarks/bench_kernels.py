@@ -1,17 +1,19 @@
 #!/usr/bin/env python3
-"""Compare the compiled sweep kernel against the pure-Python twin.
+"""Compare the compiled sweep kernel against the pure-Python twin, and
+time the profile DP.
 
 Runs the closed sweeps (full count, corner split, k=3 corner census)
 and the row-mask stream through both backends on desk-scale cases,
 checks that the results agree, and prints wall times plus the speedup.
-Pass --full for the larger cases (the pure kernel takes tens of seconds
-there).
+Then times ``dp_count`` once per size, each on a cold cache.  Pass
+--full for the larger cases (the pure kernel takes tens of seconds
+there, and ``dp_count(16, 8)`` several seconds).
 """
 
 import argparse
 import time
 
-from lambdakit import _kernel_py, kernel_backend
+from lambdakit import _kernel_py, dp_count, kernel_backend
 
 try:
     from lambdakit import _speedups
@@ -33,6 +35,9 @@ FULL_CASES = [
     ("corner_census3", (7,)),
 ]
 
+DP_CASES = [(40, 2), (60, 3), (30, 4), (20, 5)]
+DP_FULL_CASES = [(16, 8)]
+
 
 def timed(kernel, op, args):
     start = time.perf_counter()
@@ -45,7 +50,7 @@ def timed(kernel, op, args):
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--full", action="store_true",
-                        help="include the larger cases (slow in pure Python)")
+                        help="include the n = 7 sweeps (slow in pure Python) and dp_count(16, 8)")
     opts = parser.parse_args()
 
     cases = DEFAULT_CASES + (FULL_CASES if opts.full else [])
@@ -67,6 +72,15 @@ def main():
         print(f"{label:<28}{pure_time:>11.3f}s{fast_time:>11.3f}s{ratio:>9.1f}x")
     if _speedups is None:
         print("\ncompiled kernel not built; showing pure-Python times only")
+
+    print()
+    header = f"{'case':<28}{'time':>12}"
+    print(header)
+    print("-" * len(header))
+    for n, k in DP_CASES + (DP_FULL_CASES if opts.full else []):
+        start = time.perf_counter()
+        dp_count(n, k)
+        print(f"{f'dp_count({n}, {k})':<28}{time.perf_counter() - start:>11.3f}s")
 
 
 if __name__ == "__main__":

@@ -9,11 +9,14 @@ wrong count.
 The four ``lambda2_*`` entry points compute the k = 2 count through
 independent routes (a partition sum and three different recursions);
 they exist separately so they can be cross-validated against each other
-and against the enumeration and profile-DP oracles.
+and against the enumeration and profile-DP oracles.  The three
+recursions memoize their values in module-level lists, which grow only
+under one lock, so they are safe to call from several threads.
 """
 
 from __future__ import annotations
 
+import threading
 from fractions import Fraction
 from math import factorial
 
@@ -29,6 +32,11 @@ __all__ = [
     "lambda_minus_from_plus",
     "lambda3_explicit",
 ]
+
+# Serializes every extension of the memo lists below: without it two
+# threads can both read len(memo) == m and append twice, shifting every
+# later entry to the wrong index.
+_MEMO_LOCK = threading.Lock()
 
 
 def _check_positive(n: int) -> None:
@@ -81,14 +89,15 @@ def lambda2_anand(n: int) -> int:
     memoized and filled bottom-up.
     """
     _check_positive(n)
-    while len(_ANAND) <= n:
-        m = len(_ANAND)
-        num = m * (m - 1) ** 2 * ((2 * m - 3) * _ANAND[m - 2] + (m - 2) ** 2 * _ANAND[m - 3])
-        half, rest = divmod(num, 2)
-        if rest:
-            raise ExactnessError("three-term recursion must divide evenly by 2")
-        _ANAND.append(half)
-    return _ANAND[n]
+    with _MEMO_LOCK:
+        while len(_ANAND) <= n:
+            m = len(_ANAND)
+            num = m * (m - 1) ** 2 * ((2 * m - 3) * _ANAND[m - 2] + (m - 2) ** 2 * _ANAND[m - 3])
+            half, rest = divmod(num, 2)
+            if rest:
+                raise ExactnessError("three-term recursion must divide evenly by 2")
+            _ANAND.append(half)
+        return _ANAND[n]
 
 
 _GOOD = [0, 0, 1]  # index n; entry 0 is a sentinel
@@ -102,14 +111,15 @@ def lambda2_good(n: int) -> int:
     for n >= 3, with lam(1) = 0, lam(2) = 1.  Memoized bottom-up.
     """
     _check_positive(n)
-    while len(_GOOD) <= n:
-        m = len(_GOOD)
-        num = (m - 1) ** 2 * m * _GOOD[m - 2]
-        half, rest = divmod(num, 2)
-        if rest:
-            raise ExactnessError("two-term recursion must divide evenly by 2")
-        _GOOD.append((m - 1) * m * _GOOD[m - 1] + half)
-    return _GOOD[n]
+    with _MEMO_LOCK:
+        while len(_GOOD) <= n:
+            m = len(_GOOD)
+            num = (m - 1) ** 2 * m * _GOOD[m - 2]
+            half, rest = divmod(num, 2)
+            if rest:
+                raise ExactnessError("two-term recursion must divide evenly by 2")
+            _GOOD.append((m - 1) * m * _GOOD[m - 1] + half)
+        return _GOOD[n]
 
 
 _SYS_LAM = [0, 0, 1]  # index n; entry 0 is a sentinel
@@ -128,31 +138,32 @@ def lambda2_system(n: int) -> tuple[int, int]:
     (lam(n), aux(n)); both divisions are checked exact.
     """
     _check_positive(n)
-    while len(_SYS_LAM) <= n:
-        m = len(_SYS_LAM)
-        if m >= 5:
-            if len(_SYS_AUX) != m:
-                raise ExactnessError("auxiliary sequence out of step with the count")
-            coeff, rest = divmod((m - 1) ** 2 * (m - 2) ** 2, 4)
-            if rest:
-                raise ExactnessError("auxiliary coefficient must divide evenly by 4")
-            aux = coeff * (
-                8 * (m - 3) * (m - 4) * _SYS_LAM[m - 3]
-                + (m - 3) ** 2 * _SYS_LAM[m - 4]
-                - 4 * _SYS_AUX[m - 2]
+    with _MEMO_LOCK:
+        while len(_SYS_LAM) <= n:
+            m = len(_SYS_LAM)
+            if m >= 5:
+                if len(_SYS_AUX) != m:
+                    raise ExactnessError("auxiliary sequence out of step with the count")
+                coeff, rest = divmod((m - 1) ** 2 * (m - 2) ** 2, 4)
+                if rest:
+                    raise ExactnessError("auxiliary coefficient must divide evenly by 4")
+                aux = coeff * (
+                    8 * (m - 3) * (m - 4) * _SYS_LAM[m - 3]
+                    + (m - 3) ** 2 * _SYS_LAM[m - 4]
+                    - 4 * _SYS_AUX[m - 2]
+                )
+                if aux < 0:
+                    raise ExactnessError(f"auxiliary term aux({m}) came out negative")
+                _SYS_AUX.append(aux)
+            lam = (
+                (m - 1) * (2 * m - 3) * _SYS_LAM[m - 1]
+                + (m - 1) ** 2 * _SYS_LAM[m - 2]
+                - _SYS_AUX[m]
             )
-            if aux < 0:
-                raise ExactnessError(f"auxiliary term aux({m}) came out negative")
-            _SYS_AUX.append(aux)
-        lam = (
-            (m - 1) * (2 * m - 3) * _SYS_LAM[m - 1]
-            + (m - 1) ** 2 * _SYS_LAM[m - 2]
-            - _SYS_AUX[m]
-        )
-        if lam < 0:
-            raise ExactnessError(f"coupled recursion gave a negative count at n = {m}")
-        _SYS_LAM.append(lam)
-    return _SYS_LAM[n], _SYS_AUX[n]
+            if lam < 0:
+                raise ExactnessError(f"coupled recursion gave a negative count at n = {m}")
+            _SYS_LAM.append(lam)
+        return _SYS_LAM[n], _SYS_AUX[n]
 
 
 def lambda2_plus(n: int) -> int:

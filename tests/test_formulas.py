@@ -1,10 +1,13 @@
 import subprocess
 import sys
+import threading
 
 import pytest
 
+import lambdakit.formulas as formulas
 from conftest import AUX, LAMBDA2, LAMBDA3, child_env
 from lambdakit import (
+    ExactnessError,
     InconsistentInputError,
     InvalidParameterError,
     count_lambda,
@@ -147,3 +150,54 @@ def test_exactness_checks_survive_optimize_flag():
                           env=child_env(), timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("raised: ")
+
+
+
+# each route with its memo lists and the number of base entries they start with
+MEMOS = [
+    (lambda2_anand, {"_ANAND": 4}),
+    (lambda2_good, {"_GOOD": 3}),
+    (lambda2_system, {"_SYS_LAM": 3, "_SYS_AUX": 5}),
+]
+
+
+@pytest.mark.parametrize("route,bases", MEMOS, ids=["anand", "good", "system"])
+def test_memos_survive_concurrent_extension(route, bases):
+    # a lost update appends one value twice and shifts every later
+    # entry, so the memo no longer matches a single-threaded fill
+    def reset():
+        for name, keep in bases.items():
+            del getattr(formulas, name)[keep:]
+
+    def memos():
+        return {name: list(getattr(formulas, name)) for name in bases}
+
+    reset()
+    expected = [route(n) for n in range(1, 121)]
+    filled = memos()
+    interval = sys.getswitchinterval()
+    try:
+        for _ in range(20):
+            reset()
+            wrong = []
+
+            def worker(first):
+                for n in list(range(first, 121)) + list(range(1, first)):
+                    try:
+                        if route(n) != expected[n - 1]:
+                            wrong.append(n)
+                    except ExactnessError:
+                        wrong.append(n)
+
+            threads = [threading.Thread(target=worker, args=(1 + 29 * t,)) for t in range(4)]
+            sys.setswitchinterval(1e-6)
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            sys.setswitchinterval(interval)
+            assert not any(t.is_alive() for t in threads)
+            assert wrong == []
+            assert memos() == filled
+    finally:
+        sys.setswitchinterval(interval)

@@ -1,4 +1,7 @@
 import random
+import sys
+from functools import lru_cache
+from itertools import combinations
 from math import factorial
 
 import pytest
@@ -12,7 +15,30 @@ from lambdakit import (
     dp_table,
     iter_lambda,
     lambda2_good,
+    lambda3_explicit,
+    profile_dp,
 )
+
+
+def deficit_oracle(n, k):
+    """Count row by row, each row one of the k-subsets of the columns,
+    memoized on the sorted column deficits: no deficit classes and no
+    complement step, so it shares no shortcut with the DP."""
+
+    @lru_cache(maxsize=None)
+    def ways(deficits):
+        if not any(deficits):
+            return 1
+        total = 0
+        for cols in combinations(range(n), k):
+            if all(deficits[j] for j in cols):
+                rest = list(deficits)
+                for j in cols:
+                    rest[j] -= 1
+                total += ways(tuple(sorted(rest)))
+        return total
+
+    return ways((k,) * n)
 
 
 class TestDpCount:
@@ -22,6 +48,7 @@ class TestDpCount:
             assert dp_count(n, 2) == expected
         for n, expected in LAMBDA3.items():
             assert dp_count(n, 3) == expected
+        assert dp_count(10, 7) == 8302816499443200
 
     def test_trivial_k(self):
         for n in range(0, 21):
@@ -50,8 +77,23 @@ class TestDpCount:
                 assert dp_count(n, k) == dp_count(n, n - k)
 
     def test_matches_k2_formula(self):
-        for n in range(1, 41):
+        for n in (*range(1, 41), 200):
             assert dp_count(n, 2) == lambda2_good(n)
+
+    def test_matches_deficit_oracle(self):
+        for n in range(0, 10):
+            for k in range(n + 1):
+                assert dp_count(n, k) == deficit_oracle(n, k), (n, k)
+
+    def test_does_not_recurse(self):
+        expected = lambda3_explicit(60)
+        profile_dp._dp.cache_clear()
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(100)
+        try:
+            assert dp_count(60, 3) == expected
+        finally:
+            sys.setrecursionlimit(limit)
 
     def test_invalid_parameters(self):
         with pytest.raises(InvalidParameterError):
