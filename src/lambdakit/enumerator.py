@@ -20,7 +20,7 @@ from typing import Callable, Iterator, NamedTuple
 
 from . import _kernel_py as _pure
 from .errors import InvalidParameterError, NotLambdaError, is_int
-from .matrix import BinaryMatrix, is_lambda
+from .matrix import BinaryMatrix, is_lambda, transpose
 
 try:
     from . import _speedups as _kernel
@@ -200,7 +200,7 @@ def insertion_class_members(matrix: BinaryMatrix, k: int) -> list[BinaryMatrix]:
 
     def build(kept_used: int) -> None:
         if len(chosen) == n:
-            members.append(_matrix_from_col_masks(n, chosen))
+            members.append(transpose(BinaryMatrix(n, chosen)))
             return
         if kept_used < len(kept):
             chosen.append(kept[kept_used])
@@ -217,12 +217,3 @@ def insertion_class_members(matrix: BinaryMatrix, k: int) -> list[BinaryMatrix]:
     build(0)
     return members
 
-
-def _matrix_from_col_masks(n: int, cols) -> BinaryMatrix:
-    rows = [0] * n
-    for j, cmask in enumerate(cols):
-        while cmask:
-            low = cmask & -cmask
-            rows[low.bit_length() - 1] |= 1 << j
-            cmask ^= low
-    return BinaryMatrix(n, rows)

@@ -7,7 +7,13 @@ edge lists, submatrix coordinates) are 1-based; bit positions are an
 internal detail.
 
 Matrices are immutable: every operation returns a new value, and
-instances can be shared freely between threads.
+instances can be shared freely between threads.  An instance computes
+its column masks on the first :meth:`BinaryMatrix.col_masks` call and
+keeps them in a private slot, so validating, classifying and measuring
+one matrix transpose its rows once.  The slot is the only state that
+changes after construction, and it is a pure function of the immutable
+rows: two threads that race to fill it store equal tuples, and a reader
+sees either no value (and computes it) or the finished tuple.
 """
 
 from __future__ import annotations
@@ -42,10 +48,13 @@ def _row_string(n: int, mask: int) -> str:
     return format(mask, "0%db" % n)[::-1]
 
 
+_DELETE_BITS = str.maketrans("", "", "01")  # str.translate table that drops 0 and 1
+
+
 class BinaryMatrix:
     """Immutable n x n 0-1 matrix."""
 
-    __slots__ = ("n", "row_masks")
+    __slots__ = ("n", "row_masks", "_cols")
 
     def __init__(self, n: int, row_masks) -> None:
         if not is_int(n) or n < 1:
@@ -67,14 +76,24 @@ class BinaryMatrix:
         return (self.row_masks[i - 1] >> (j - 1)) & 1
 
     def col_masks(self) -> tuple[int, ...]:
-        """Column bit masks (bit i-1 of mask j-1 is the entry at row i, column j)."""
+        """Column bit masks (bit i-1 of mask j-1 is the entry at row i, column j).
+
+        Computed on the first call and kept; later calls return the same tuple.
+        """
+        try:
+            return self._cols
+        except AttributeError:  # first call; __init__ leaves the slot empty
+            pass
         cols = [0] * self.n
-        for i, mask in enumerate(self.row_masks):
+        bit = 1  # row i's bit in a column mask: 1 << (i - 1)
+        for mask in self.row_masks:
             while mask:
-                low = mask & -mask
-                cols[low.bit_length() - 1] |= 1 << i
-                mask ^= low
-        return tuple(cols)
+                j = mask.bit_length() - 1
+                cols[j] |= bit
+                mask ^= 1 << j
+            bit <<= 1
+        self._cols = cols = tuple(cols)
+        return cols
 
     def to_strings(self) -> tuple[str, ...]:
         """Rows as bit strings, leftmost character = column 1."""
@@ -91,6 +110,10 @@ class BinaryMatrix:
     def __hash__(self) -> int:
         return hash((self.n, self.row_masks))
 
+    def __reduce__(self):
+        # rebuilt through the validating constructor; the column cache is not pickled
+        return BinaryMatrix, (self.n, self.row_masks)
+
     def __repr__(self) -> str:
         return "BinaryMatrix(%r)" % "/".join(self.to_strings())
 
@@ -103,10 +126,25 @@ def parse_matrix(text: str) -> BinaryMatrix:
 
     The input must be square (as many rows as columns) and contain only
     the characters 0 and 1.  A single trailing newline is tolerated.
+    Lines split as :meth:`str.splitlines` splits them, so ``\r\n`` and a
+    bare ``\r`` end rows too.
     """
+    if not isinstance(text, str):
+        raise MatrixParseError(f"expected a str, got {type(text).__name__}")
     lines = text.splitlines()
     if not lines or lines == [""]:
         raise MatrixParseError("empty input")
+    n = len(lines)
+    # every line n long and nothing left once 0 and 1 are deleted: then
+    # int(.., 2) reads each row exactly (no sign, "_", space or non-ASCII digit)
+    if set(map(len, lines)) == {n} and not "".join(lines).translate(_DELETE_BITS):
+        return BinaryMatrix(n, [int(line[::-1], 2) for line in lines])
+    return BinaryMatrix(n, _scan_rows(lines))
+
+
+def _scan_rows(lines: list[str]) -> list[int]:
+    """Row masks read character by character; names the first bad row or
+    character.  Only input that fails the quick check comes here."""
     n = len(lines)
     masks = []
     for i, line in enumerate(lines, start=1):
@@ -123,7 +161,7 @@ def parse_matrix(text: str) -> BinaryMatrix:
                     f"illegal character {ch!r} at row {i}, column {j}"
                 )
         masks.append(mask)
-    return BinaryMatrix(n, masks)
+    return masks
 
 
 def serialize_matrix(matrix: BinaryMatrix, fmt: str = "plain") -> str:
@@ -146,9 +184,9 @@ def is_lambda(matrix: BinaryMatrix, k: int) -> bool:
     n = matrix.n
     if not is_int(k) or k < 0 or k > n:
         raise InvalidParameterError(f"k must satisfy 0 <= k <= n, got k={k} for n={n}")
-    if any(mask.bit_count() != k for mask in matrix.row_masks):
-        return False
-    return all(mask.bit_count() == k for mask in matrix.col_masks())
+    popcount = int.bit_count
+    return (list(map(popcount, matrix.row_masks)).count(k) == n
+            and list(map(popcount, matrix.col_masks())).count(k) == n)
 
 
 def complement(matrix: BinaryMatrix) -> BinaryMatrix:
@@ -191,7 +229,7 @@ def corner_submatrix(matrix: BinaryMatrix) -> CornerSubmatrix:
     is 0.  For n = 3 the indices degenerate to rows (1, 2) and columns
     (1, 2) and the only qualifying matrix is all-ones.
     """
-    if not is_lambda(matrix, 3):
+    if matrix.n < 3 or not is_lambda(matrix, 3):
         raise NotLambdaError("matrix does not have exactly 3 ones in every row and column")
     n = matrix.n
     if matrix.entry(n, n) != 1:

@@ -90,6 +90,11 @@ class TestClassify:
         with pytest.raises(NotLambdaError):
             classify_plus3(parse_matrix("110\n101\n011"))
 
+    @pytest.mark.parametrize("text", ["1", "11\n11"], ids=["n1", "n2"])
+    def test_rejects_matrices_below_size_3(self, text):
+        with pytest.raises(NotLambdaError):
+            classify_plus3(parse_matrix(text))
+
     def test_transpose_swaps_gamma_delta_pointwise(self):
         swap = {ClassLabel.COL_PAIR: ClassLabel.ROW_PAIR,
                 ClassLabel.ROW_PAIR: ClassLabel.COL_PAIR}
