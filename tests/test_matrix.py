@@ -126,6 +126,78 @@ class TestParse:
         assert list(m.row_masks[:5]) == oracle_parse("\n".join(lines))[:5]
 
 
+class TestSerialize:
+    def test_plain(self):
+        assert serialize_matrix(parse_matrix("10\n01")) == "10\n01"
+
+    def test_jsonl_record(self):
+        text = serialize_matrix(parse_matrix("10\n01"), "jsonl-record")
+        assert text == '{"n":2,"rows":["10","01"]}'
+        assert json.loads(text) == {"n": 2, "rows": ["10", "01"]}
+
+    def test_unknown_format(self):
+        with pytest.raises(InvalidParameterError):
+            serialize_matrix(parse_matrix("1"), "xml")
+
+    @given(matrices())
+    def test_round_trip(self, m):
+        assert parse_matrix(serialize_matrix(m)) == m
+
+
+def bit_strings(m):
+    """Test-side oracle: each row rendered bit by bit, column 1 first."""
+    return ["".join("1" if (mask >> j) & 1 else "0" for j in range(m.n)) for mask in m.row_masks]
+
+
+def json_record(m):
+    """Test-side oracle for the jsonl-record format."""
+    return json.dumps({"n": m.n, "rows": bit_strings(m)}, sort_keys=True, separators=(",", ":"))
+
+
+class TestCodecOracle:
+    @given(matrices(max_n=64))
+    def test_to_strings(self, m):
+        assert m.to_strings() == tuple(bit_strings(m))
+        assert str(m) == serialize_matrix(m) == "\n".join(bit_strings(m))
+
+    @given(matrices(max_n=64))
+    def test_jsonl_record_is_compact_sorted_json(self, m):
+        assert serialize_matrix(m, "jsonl-record") == json_record(m)
+
+    def test_threads_share_the_row_cache(self):
+        # 4 x (1 + ... + 64) = 8320 rows, far more distinct masks than the
+        # 4096 cache entries, so the threads keep evicting each other's rows
+        rng = random.Random(20121)
+        shared = [BinaryMatrix(n, [rng.getrandbits(n) for _ in range(n)])
+                  for _ in range(4) for n in range(1, 65)]
+        expected = [(json_record(m), "\n".join(bit_strings(m))) for m in shared]
+        wrong = []
+
+        def worker(offset):
+            order = list(range(offset, len(shared))) + list(range(offset))
+            for _ in range(3):
+                for i in order:
+                    m = shared[i]
+                    if (serialize_matrix(m, "jsonl-record"), serialize_matrix(m)) != expected[i]:
+                        wrong.append(i)
+
+        _row_string.cache_clear()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=worker, args=(t * 61,)) for t in range(4)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert wrong == []
+        info = _row_string.cache_info()
+        assert info.currsize == info.maxsize == 4096 and info.misses > 4096
+
+
 def oracle_parse(text):
     """Test-side parser, one character at a time: the row masks, or the
     message of the MatrixParseError the library must raise."""
