@@ -5,13 +5,13 @@ time the profile DP and the matrix read side.
 Runs the closed sweeps (full count, corner split, k=3 corner census)
 and the row-mask stream through both backends on desk-scale cases,
 checks that the results agree, and prints wall times plus the speedup.
-Then times ``dp_count`` once per size, each on a cold cache.  Last, it
-passes a fixed seeded set of k = 3 records through ``parse_matrix``,
-``is_lambda`` and then ``classify_plus3`` (corner 1) or
+Then times ``dp_count`` once per size, each on a cold cache, at even and
+odd n.  Last, it passes a fixed seeded set of k = 3 records through
+``parse_matrix``, ``is_lambda`` and then ``classify_plus3`` (corner 1) or
 ``insertion_class_stats`` (corner 0), and prints each stage's time (the
 median of five rounds, every round on freshly parsed matrices).  Pass
 --full for the larger cases (the pure kernel takes tens of seconds
-there, and ``dp_count(16, 8)`` several seconds).
+there, and ``dp_count(16, 8)`` about two seconds).
 """
 
 import argparse
@@ -49,7 +49,9 @@ FULL_CASES = [
     ("corner_census3", (7,)),
 ]
 
-DP_CASES = [(40, 2), (60, 3), (30, 4), (20, 5)]
+# odd n next to even n: the DP joins two equal half layers when n is
+# even and two that differ by one row when n is odd
+DP_CASES = [(40, 2), (60, 3), (41, 3), (30, 4), (21, 4), (20, 5)]
 DP_FULL_CASES = [(16, 8)]
 
 READ_RECORDS = 12_000

@@ -1,9 +1,9 @@
 """Closed-form and recursive routes to the matrix counts.
 
-Everything here returns exact Python ints.  Intermediate rationals use
-``fractions.Fraction`` and every division that must come out exact is
-checked, so a formula transcription error surfaces as an
-:class:`ExactnessError` (also under ``python -O``) instead of a silently
+Everything here returns exact Python ints.  The k = 3 sum works in
+``fractions.Fraction``, the other routes in integers, and every division
+that must come out exact is checked, so a formula transcription error
+surfaces as an :class:`ExactnessError` (also under ``python -O``) instead of a silently
 wrong count.
 
 The four ``lambda2_*`` entry points compute the k = 2 count through
@@ -44,37 +44,45 @@ def _check_positive(n: int) -> None:
         raise InvalidParameterError("n must be a positive integer")
 
 
-def _partitions_min2(total: int, max_part: int):
-    """Partitions of ``total`` into parts between 2 and ``max_part``,
-    as tuples of (part, multiplicity) with parts descending."""
-    if total == 0:
-        yield ()
-        return
-    for part in range(min(total, max_part), 1, -1):
-        for mult in range(total // part, 0, -1):
-            for rest in _partitions_min2(total - part * mult, part - 1):
-                yield ((part, mult),) + rest
-
-
 def lambda2_partition_sum(n: int) -> int:
     """k = 2 count as a sum over partitions of n into parts >= 2.
 
-    A partition with multiplicities x_r of each part r contributes
-    (n!)^2 / prod_r x_r! (2r)^x_r; the terms are summed as exact
-    rationals and the total is checked to be an integer.  n = 1 has no
-    such partition and gives 0.
+    A partition with multiplicities x_r of each part r, m parts in all,
+    contributes (n!)^2 / prod_r x_r! (2r)^x_r.  That is 2^-n times the
+    integer n! w 2^(n-m), where w = n! / prod_r r^x_r x_r! is the number
+    of permutations of that cycle type.  A depth-first walk over the
+    partitions, parts descending, carries w as an exact integer and sums
+    the integer terms; the total is divided by 2^n once, checked exact.
+    The walk closes each partition's parts of 2 in one step.  n = 1 has
+    no such partition and gives 0.
     """
     _check_positive(n)
-    nfact2 = factorial(n) ** 2
-    total = Fraction(0)
-    for partition in _partitions_min2(n, n):
-        denom = 1
-        for part, mult in partition:
-            denom *= factorial(mult) * (2 * part) ** mult
-        total += Fraction(nfact2, denom)
-    if total.denominator != 1:
+    twos = [1]  # twos[x] = 2^x x!, what x parts of 2 divide w by
+    for x in range(1, n // 2 + 1):
+        twos.append(twos[-1] * 2 * x)
+    total = 0
+
+    def walk(left: int, max_part: int, weight: int, parts: int) -> None:
+        nonlocal total
+        if left % 2 == 0:
+            x = left // 2
+            total += (weight // twos[x]) << (n - parts - x)
+        for part in range(min(left, max_part), 2, -1):
+            w = weight
+            for mult in range(1, left // part + 1):
+                w //= part * mult
+                rest = left - part * mult
+                if rest == 0:
+                    total += w << (n - parts - mult)
+                elif rest > 1:
+                    walk(rest, part - 1, w, parts + mult)
+
+    nfact = factorial(n)
+    walk(n, n, nfact, 0)
+    value, rest = divmod(nfact * total, 1 << n)
+    if rest:
         raise ExactnessError("partition sum must be an integer")
-    return int(total)
+    return value
 
 
 _ANAND = [0, 0, 1, 6]  # index n; entry 0 is a sentinel

@@ -5,17 +5,37 @@ where c_d is the number of columns still needing exactly d more ones;
 it forgets column identities, which is what makes the count polynomial
 for fixed k, and it is invariant under column relabeling by
 construction.  A forward loop over the rows carries a dict from each
-profile to its number of ways, starting at (0, ..., 0, n) and ending at
-the all-class-0 profile; there is no recursion, so n has no limit.
+profile to its number of ways, starting at (0, ..., 0, n); there is no
+recursion, so n has no limit.
 
 Each row's k ones are placed one deficit class at a time, d = 1 .. k:
 m of the c_d class-d columns are chosen (C(c_d, m) ways) and move down
 to class d-1, which is already done for this row, so no column gets
-two ones in one row.  The partial states (profile, ones left) of a row
-are merged in one dict across all profiles of the layer.
+two ones in one row.  The last class, d = k, takes exactly the ones
+left in the row, and a partial state with fewer class-k columns than
+ones left is dropped there.  The partial states of a row are merged in
+one dict across all profiles of the layer.  A state (profile, ones left
+in the row) is packed into one int, rem + sum_d c_d (n+1)^(d+1), so
+moving m ones from class d to class d-1 subtracts m((n+1)^(d+1) -
+(n+1)^d + 1).
+
+Only b = ceil(n/2) rows are run.  The layers W_a after a = floor(n/2)
+rows and W_b after b rows are then joined:
+
+    total = sum over P of W_a(P) W_b(rev P) / L(P)
+
+where rev P = (c_k, ..., c_0) and L(P) = n! / prod_d c_d! is the number
+of ways to label the columns of P.  The bottom b rows must give each
+column as many ones as the top a rows left it short, so read forward
+from the start they reach the mirrored profile; and W(P) is L(P) times
+the count for any one labeling.  Each division is checked exact, which
+makes the join a live check, also under ``python -O``.
 
 Complementing every entry maps the (n, k) matrices one-to-one onto the
-(n, n-k) ones, so only k <= n/2 is ever computed.
+(n, n-k) ones, so only k <= n/2 is ever computed.  That is also why the
+half rows need no pruning for columns the remaining rows cannot fill:
+every half row has at least floor(n/2) >= k rows after it, and no
+column needs more than k ones.
 
 This is the scalable second oracle: it validates the closed formulas
 far beyond brute-force range while remaining an entirely different
@@ -25,9 +45,9 @@ computation from the row-by-row enumeration sweep.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
 
-from .errors import InvalidParameterError, is_int
+from .errors import ExactnessError, InvalidParameterError, is_int
 
 __all__ = ["dp_count", "dp_table"]
 
@@ -62,29 +82,59 @@ def dp_table(k: int, n_max: int) -> list[tuple[int, int]]:
 
 @lru_cache(maxsize=256)
 def _dp(n: int, k: int) -> int:
-    layer = {(0,) * k + (n,): 1}
-    for rows_after in range(n - 1, -1, -1):
-        staged = {(profile, k): ways for profile, ways in layer.items()}
+    base = n + 1
+    top, bottom = _half_layers(n, k)
+    nfact = factorial(n)
+    total = 0
+    for key, ways in top.items():
+        rest, labelings, mirror = key // base, nfact, 0
+        for _ in range(k + 1):
+            rest, c = divmod(rest, base)
+            labelings //= factorial(c)
+            mirror = mirror * base + c
+        share, extra = divmod(ways, labelings)
+        other = bottom.get(mirror * base, 0)
+        if extra or other % labelings:
+            raise ExactnessError(
+                f"half-layer count is not a multiple of its {labelings} column labelings"
+            )
+        total += share * other
+    return total
+
+
+def _half_layers(n: int, k: int) -> tuple[dict[int, int], dict[int, int]]:
+    """The layers after n // 2 and after n - n // 2 rows, as dicts from
+    packed profile to its number of ways; needs k <= n / 2."""
+    base = n + 1
+    binom = [[comb(c, m) for m in range(k + 1)] for c in range(n + 1)]
+    layer = {n * base ** (k + 1): 1}
+    top = layer
+    for row in range(1, n - n // 2 + 1):
+        staged = {key + k: ways for key, ways in layer.items()}
         for d in range(1, k + 1):
-            nxt: dict[tuple[tuple[int, ...], int], int] = {}
-            for (profile, rem), ways in staged.items():
-                c = profile[d]
-                hi = c if c < rem else rem
-                # the ones left after this class must fit in the classes above it
-                lo = rem - sum(profile[d + 1:])
-                if lo < 0:
-                    lo = 0
-                if d > rows_after:
-                    # the rows after this one cannot fill these columns alone
-                    if c < lo or c > hi:
-                        continue
-                    lo = hi = c
-                for m in range(lo, hi + 1):
-                    new = list(profile)
-                    new[d] -= m
-                    new[d - 1] += m
-                    key = (tuple(new), rem - m)
-                    nxt[key] = nxt.get(key, 0) + ways * comb(c, m)
+            high = base ** (d + 1)
+            step = high - high // base + 1
+            nxt: dict[int, int] = {}
+            get = nxt.get
+            if d < k:
+                for key, ways in staged.items():
+                    rem = key % base
+                    c = key // high % base
+                    nxt[key] = get(key, 0) + ways
+                    row_binom = binom[c]
+                    for m in range(1, (c if c < rem else rem) + 1):
+                        key -= step
+                        nxt[key] = get(key, 0) + ways * row_binom[m]
+            else:
+                # the last class takes exactly the ones left in the row
+                for key, ways in staged.items():
+                    rem = key % base
+                    c = key // high % base
+                    if c >= rem:
+                        key -= rem * step
+                        nxt[key] = get(key, 0) + ways * binom[c][rem]
             staged = nxt
-        layer = {profile: ways for (profile, _), ways in staged.items()}
-    return layer.get((n,) + (0,) * k, 0)
+        layer = staged
+        if row == n // 2:
+            top = layer
+    return top, layer

@@ -9,6 +9,7 @@ import pytest
 from conftest import LAMBDA2, LAMBDA3
 from lambdakit import (
     BinaryMatrix,
+    ExactnessError,
     InvalidParameterError,
     count_lambda,
     dp_count,
@@ -49,6 +50,14 @@ class TestDpCount:
         for n, expected in LAMBDA3.items():
             assert dp_count(n, 3) == expected
         assert dp_count(10, 7) == 8302816499443200
+        # the benchmark's reference counts, an even and an odd k
+        assert dp_count(20, 4) == 37911589613425952733393718264069147678877877626169022024515000
+        assert dp_count(14, 5) == 96986285294151066094112970262797953280
+        # odd n, where the two half layers are one row apart; from a forward
+        # DP over all n rows
+        assert dp_count(21, 4) == (
+            3088496938678002662586223525004709655841715076755052999658886600000
+        )
 
     def test_trivial_k(self):
         for n in range(0, 21):
@@ -94,6 +103,25 @@ class TestDpCount:
             assert dp_count(60, 3) == expected
         finally:
             sys.setrecursionlimit(limit)
+
+    def test_join_rejects_a_corrupted_half_layer(self, monkeypatch):
+        """A top-half count that is not a multiple of its profile's column
+        labelings cannot come from a true count: the join must raise."""
+        half_layers = profile_dp._half_layers
+
+        def corrupted(n, k):
+            top, bottom = half_layers(n, k)
+            top = dict(top)
+            top[max(top, key=top.get)] += 1
+            return top, bottom
+
+        monkeypatch.setattr(profile_dp, "_half_layers", corrupted)
+        profile_dp._dp.cache_clear()
+        try:
+            with pytest.raises(ExactnessError):
+                dp_count(7, 3)
+        finally:
+            profile_dp._dp.cache_clear()
 
     def test_invalid_parameters(self):
         with pytest.raises(InvalidParameterError):
